@@ -1,41 +1,39 @@
 """Inference-only fused kernels and the int8 quantized pre-filter.
 
-Two independent speed layers for query-time scoring, both strictly
-value-preserving with respect to the existing batched matcher path:
+Two independent speed layers for query-time scoring:
 
-* **Fused kernels** (:class:`FusedMatchKernel`) — the hot chain of
-  :meth:`SegmentLevelAttention.forward_batch` →
-  :meth:`LineColumnAttention.forward_batch` →
-  :meth:`InteractionHead.forward_batch` re-expressed as plain
-  ``np.matmul(..., out=)`` calls over a per-scorer scratch-buffer pool
-  (:class:`ScratchPool`).  No :class:`~repro.nn.Tensor` objects, no autograd
-  graph, and the large per-op temporaries (key projections, similarity
-  matrices, value projections, weighted products) are written into
-  preallocated arenas instead of fresh allocations.  Every operation
+* **Fused kernels** (:class:`FusedMatchKernel`) — the matcher's inference
+  forward for one chart against a padded candidate batch, the only one the
+  scorer runs.  The SL-SAN → LL-SAN → interaction-head chain is written as
+  plain ``np.matmul(..., out=)`` calls over a per-scorer scratch-buffer
+  pool (:class:`ScratchPool`): no :class:`~repro.nn.Tensor` objects, no
+  autograd graph, and the large per-op temporaries (key projections,
+  similarity matrices, value projections, weighted products) are written
+  into preallocated arenas instead of fresh allocations.  Every operation
   reproduces the exact NumPy expression the Tensor op would have run —
   including the float64 accumulation in ``sum``/``softmax`` denominators and
   the scalar-lifting dtype rules — so fused scores are bit-identical to the
-  graphed batched path in float64 and agree to normal rounding noise in
-  float32.
+  differentiable :meth:`HCMANMatcher.forward_pairs` (chart repeated per
+  pair) in float64 and agree to normal rounding noise in float32; the tests
+  keep ``forward_pairs`` as the oracle.
 
 * **Quantized pre-filter** (:func:`quantize_table`,
-  :func:`build_quantized_pack`, :func:`quantized_scores`) — an int8
+  :func:`build_quantized_pack`, :func:`coarse_scores`) — an int8
   symmetric-quantized copy of the cached table encodings with one scale
   factor per table (``x ≈ codes · scale``, ``scale = max|x| / 127``).  At
   pack-build time each table is dequantized, groups of
   :data:`PREFILTER_POOL` consecutive segment rows are mean-pooled, and the
   pooled vectors are re-quantized into one padded int8 batch.  The
   pre-filter then scores every candidate with the **real matcher** (the
-  fused kernel, or the graphed path for unsupported matchers) on that
-  ``pool``-times-smaller input and keeps only the ``top-(k · overscan)``
-  candidates for exact float re-scoring.  Because the coarse score passes
-  through the same attention and MLP nonlinearities as the exact one, its
-  ranking tracks the exact ranking closely — a raw dot-product proxy does
-  not (the matcher's output is not monotone in representation similarity).
-  The coarse score never replaces the exact one: the final ranking is
-  always produced by the full matcher on the kept set, so parity is a
-  recall property (pinned by tests on the trained fixture) rather than a
-  numerical one.
+  fused kernel) on that ``pool``-times-smaller input and keeps only the
+  ``top-(k · overscan)`` candidates for exact float re-scoring.  Because the
+  coarse score passes through the same attention and MLP nonlinearities as
+  the exact one, its ranking tracks the exact ranking closely — a raw
+  dot-product proxy does not (the matcher's output is not monotone in
+  representation similarity).  The coarse score never replaces the exact
+  one: the final ranking is always produced by the full matcher on the kept
+  set, so parity is a recall property (pinned by tests on the trained
+  fixture) rather than a numerical one.
 
 The module deliberately has no dependency on the scorer or serving layers;
 it consumes raw ``np.ndarray`` encodings plus live parameter references from
@@ -61,7 +59,6 @@ __all__ = [
     "quantize_table",
     "pooled_vectors",
     "build_quantized_pack",
-    "quantized_scores",
     "CoarseCache",
     "build_coarse_cache",
     "coarse_scores",
@@ -117,7 +114,7 @@ def _linear(
     promoting to a float64 contraction.
 
     ``exact=True`` calls ``np.matmul`` on the operand shapes the Tensor op
-    would see (bitwise parity with the graphed path).  ``exact=False``
+    would see (bitwise parity with :meth:`HCMANMatcher.forward_pairs`).  ``exact=False``
     flattens the batch axes into one 2-D GEMM first: the coarse pass feeds
     this helper ``(B, few, K)`` stacks whose stacked matmul dispatches B
     tiny per-slice GEMMs.
@@ -192,30 +189,23 @@ def _masked_mean(
 
 
 class FusedMatchKernel:
-    """Fused, graph-free replacement for ``matcher.forward_batch``.
+    """Fused, graph-free inference forward of the matcher.
 
-    Supports the two shipped matcher variants (:class:`HCMANMatcher` and the
-    :class:`AveragedMatcher` ablation); any other matcher reports
-    ``supported == False`` and callers fall back to the Tensor path.  The
-    kernel holds only a :class:`ScratchPool` and a reference to the matcher —
+    Covers the two matchers :func:`~repro.fcm.matcher.build_matcher` returns
+    (:class:`HCMANMatcher` and the :class:`AveragedMatcher` ablation); any
+    other matcher raises :class:`TypeError` at construction.  The kernel
+    holds only a :class:`ScratchPool` and a reference to the matcher —
     parameters are read live on every call.
     """
 
     def __init__(self, matcher) -> None:
+        if not isinstance(matcher, (HCMANMatcher, AveragedMatcher)):
+            raise TypeError(
+                f"no fused kernel for matcher {type(matcher).__name__}; "
+                "expected HCMANMatcher or AveragedMatcher"
+            )
         self._matcher = matcher
         self.pool = ScratchPool()
-
-    @property
-    def supported(self) -> bool:
-        matcher = self._matcher
-        if isinstance(matcher, AveragedMatcher):
-            return len(matcher.head.mlp.layers) == 2
-        if isinstance(matcher, HCMANMatcher):
-            return (
-                len(matcher.head.mlp.layers) == 2
-                and matcher.head.mlp.activation_name == "relu"
-            )
-        return False
 
     def score_batch(
         self,
@@ -225,7 +215,7 @@ class FusedMatchKernel:
         column_mask: np.ndarray,
         exact: bool = True,
     ) -> np.ndarray:
-        """``(B,)`` relevance scores; equals ``matcher.forward_batch(...)``.
+        """``(B,)`` relevance scores of one chart against ``B`` candidates.
 
         ``chart_repr`` is the raw ``(M, N1, K)`` chart encoding array and
         ``table_batch`` the zero-padded ``(B, NC, N2, K)`` candidate stack in
@@ -233,7 +223,8 @@ class FusedMatchKernel:
 
         ``exact=True`` (the default, used by exact verification) replays the
         Tensor graph's float64-accumulated reductions so float64 scores are
-        bitwise identical to the graphed path.  ``exact=False`` (the coarse
+        bitwise identical to ``matcher.forward_pairs`` with the chart
+        repeated per candidate.  ``exact=False`` (the coarse
         pre-filter pass) accumulates in the input dtype — the scores only
         feed the overscan cut, and mixed-precision reductions are the
         dominant cost of a float32 batch.
@@ -303,7 +294,7 @@ class FusedMatchKernel:
 
         chart_scores = sim.reshape(b, m, n1, nc * n2).max(axis=-1)  # (B, M, N1)
         # max over the chart axis equals the transposed-reshape max of the
-        # graphed path without materialising the (B, NC, N2, M*N1) copy.
+        # Tensor path without materialising the (B, NC, N2, M*N1) copy.
         table_scores = sim.max(axis=1).reshape(b, nc, n2)  # (B, NC, N2)
 
         chart_weights = _softmax(pool, "sl.cw", chart_scores, exact)[..., None]
@@ -465,7 +456,7 @@ class QuantizedPack(NamedTuple):
     mean-pooled, and the pooled vectors are re-quantized to int8 (one scale
     per table).  Scoring a candidate chunk is then a single matcher call on
     a ``pool``-times-smaller batch — the pre-filter runs the *real* matcher
-    (fused or graphed) on a coarse input, so its ranking tracks the exact
+    (the fused kernel) on a coarse input, so its ranking tracks the exact
     score through every attention and MLP nonlinearity instead of relying
     on a raw-similarity proxy.
     """
@@ -511,8 +502,8 @@ PREFILTER_DTYPE = np.float32
 #: default overscan cut, while 2 keeps them at roughly half the FLOPs.
 PREFILTER_POOL = 2
 
-#: Candidate tables dequantized + matcher-scored per pre-filter chunk;
-#: bounds the float copy of the pooled batch to a few tens of MB.
+#: Candidate tables matcher-scored per pre-filter chunk; bounds the
+#: per-chunk similarity and weighting scratch to a few tens of MB.
 PREFILTER_CHUNK_TABLES = 2048
 
 
@@ -605,46 +596,6 @@ def build_quantized_pack(
     )
 
 
-def quantized_scores(
-    pack: QuantizedPack,
-    chart_repr: np.ndarray,
-    table_ids: Sequence[str],
-    score_fn,
-    chunk_tables: int = PREFILTER_CHUNK_TABLES,
-) -> np.ndarray:
-    """Coarse pre-filter scores for ``table_ids``, one float per id.
-
-    ``chart_repr`` is the raw ``(M, N1, K)`` chart encoding array and
-    ``score_fn(chart_repr, table_batch, segment_mask, column_mask)`` the
-    matcher entry point to run on each dequantized candidate chunk —
-    :meth:`FusedMatchKernel.score_batch`, or a graphed fallback with the
-    same signature.  Unknown ids score ``-inf`` so they are dropped before
-    exact re-scoring ever sees them.
-    """
-    chart = np.ascontiguousarray(chart_repr)
-    out = np.full(len(table_ids), -np.inf, dtype=np.float64)
-    positions = np.asarray(
-        [pack.index.get(table_id, -1) for table_id in table_ids], dtype=np.int64
-    )
-    known = positions >= 0
-    if not known.any() or chart.size == 0:
-        return out
-    known_positions = positions[known]
-    scores = np.empty(len(known_positions), dtype=np.float64)
-    step = max(int(chunk_tables), 1)
-    for start in range(0, len(known_positions), step):
-        chunk = known_positions[start : start + step]
-        batch = pack.codes[chunk].astype(chart.dtype)
-        batch *= pack.scales[chunk][:, None, None, None].astype(chart.dtype)
-        scores[start : start + len(chunk)] = np.atleast_1d(
-            score_fn(
-                chart, batch, pack.segment_mask[chunk], pack.column_mask[chunk]
-            )
-        )
-    out[known] = scores
-    return out
-
-
 class CoarseCache(NamedTuple):
     """Query-independent half of the coarse pass, prebuilt from the pack.
 
@@ -712,9 +663,11 @@ def coarse_scores(
     """Pre-filter scores via the cached projections (fused kernel only).
 
     The per-query work drops to the chart-side projections plus the
-    attention/head chain — no dequantize, no table-side GEMMs.  Scores are
-    identical to :func:`quantized_scores` with an ``exact=False`` fused
-    ``score_fn`` at :data:`PREFILTER_DTYPE`; unknown ids score ``-inf``.
+    attention/head chain — no dequantize, no table-side GEMMs.  Scores equal
+    a chunk-wise dequantize of the pack followed by
+    :meth:`FusedMatchKernel.score_batch` with ``exact=False`` at
+    :data:`PREFILTER_DTYPE` (the tests keep that pass as the oracle); unknown
+    ids score ``-inf``.
     """
     chart = np.ascontiguousarray(
         np.asarray(chart_repr).astype(PREFILTER_DTYPE, copy=False)

@@ -188,74 +188,6 @@ class SegmentLevelAttention(Module):
         )
         return lines, columns, evidence
 
-    def forward_batch(
-        self,
-        chart_repr: Tensor,
-        table_batch: Tensor,
-        segment_mask: np.ndarray,
-    ) -> Tuple[Tensor, Tensor, Tensor]:
-        """Reconstruct lines/columns for ``B`` candidate tables at once.
-
-        Parameters
-        ----------
-        chart_repr:
-            ``E_V`` of shape ``(M, N1, K)`` — shared by every candidate.
-        table_batch:
-            Stacked, zero-padded ``E_T`` of shape ``(B, NC, N2, K)``.
-        segment_mask:
-            Boolean ``(B, NC, N2)``; True marks real (unpadded) segments.
-
-        Returns
-        -------
-        (lines, columns, evidence):
-            ``lines`` of shape ``(B, M, K)``, ``columns`` of shape
-            ``(B, NC, K)`` and ``evidence`` of shape ``(B, 2)``.  Padded
-            positions are excluded from every max/softmax/mean, so row ``b``
-            matches :meth:`forward` on candidate ``b`` alone.
-        """
-        m, n1, dim = chart_repr.shape
-        b, nc, n2, _ = table_batch.shape
-        chart_flat = chart_repr.reshape(m * n1, dim)
-        table_flat = table_batch.reshape(b, nc * n2, dim)
-        seg_valid = np.asarray(segment_mask, dtype=bool)
-        flat_valid = seg_valid.reshape(b, 1, nc * n2)
-
-        # (M*N1, K) x (B, K, NC*N2) -> (B, M*N1, NC*N2); padded table segments
-        # are pushed to -inf so they can never win a max and get exactly zero
-        # softmax weight (exp(-inf) == 0), which keeps the batched scores
-        # bitwise-comparable to the per-pair path.
-        sim = _scaled_similarity(self.query_proj(chart_flat), self.key_proj(table_flat))
-        sim = masked_keep(sim, flat_valid, -np.inf)
-        sim_chart = sim.reshape(b, m, n1, nc * n2)
-        sim_table = sim.swapaxes(-1, -2).reshape(b, nc, n2, m * n1)
-
-        chart_scores = sim_chart.max(axis=-1)  # (B, M, N1)
-        table_scores = sim_table.max(axis=-1)  # (B, NC, N2); -inf when padded
-
-        chart_weights = chart_scores.softmax(axis=-1).expand_dims(-1)
-        # Rows of fully-padded columns are all -inf, which would make softmax
-        # produce NaN; those columns are discarded later by the column mask,
-        # so any finite placeholder works — use 0.
-        column_alive = seg_valid.any(axis=-1)[..., None]  # (B, NC, 1)
-        table_weights = (
-            masked_keep(table_scores, column_alive, 0.0)
-            .softmax(axis=-1)
-            .expand_dims(-1)
-        )
-
-        chart_values = self.value_proj(chart_repr)  # (M, N1, K)
-        table_values = self.value_proj(table_batch)  # (B, NC, N2, K)
-        lines = (chart_values * chart_weights).sum(axis=2)  # (B, M, K)
-        columns = (table_values * table_weights).sum(axis=2)  # (B, NC, K)
-        evidence = concatenate(
-            [
-                chart_scores.mean(axis=(1, 2)).reshape(-1, 1),
-                _masked_mean(table_scores, seg_valid),
-            ],
-            axis=-1,
-        )
-        return lines, columns, evidence
-
     def forward_pairs(
         self,
         chart_batch: Tensor,
@@ -265,10 +197,12 @@ class SegmentLevelAttention(Module):
     ) -> Tuple[Tensor, Tensor, Tensor]:
         """Reconstruct lines/columns for ``P`` independent (chart, table) pairs.
 
-        Unlike :meth:`forward_batch`, which shares one chart across all
-        candidates (the inference layout), every pair here carries its *own*
-        padded chart — the layout of the batched trainer, where each pair is
-        one example's chart against its positive or one of its negatives.
+        Every pair carries its *own* padded chart — the layout of the
+        batched trainer, where each pair is one example's chart against its
+        positive or one of its negatives.  Inference, where one chart is
+        shared by every candidate, runs the fused kernel of
+        :mod:`repro.fcm.fastpath` instead; with the chart repeated per pair
+        this forward is its test oracle.
 
         Parameters
         ----------
@@ -371,42 +305,6 @@ class LineColumnAttention(Module):
         )
         return chart_vec, table_vec, evidence
 
-    def forward_batch(
-        self,
-        lines: Tensor,
-        columns: Tensor,
-        column_mask: np.ndarray,
-    ) -> Tuple[Tensor, Tensor, Tensor]:
-        """Reduce ``(B, M, K)`` lines and ``(B, NC, K)`` columns per candidate.
-
-        ``column_mask`` is a boolean ``(B, NC)`` marking real columns; padded
-        columns are masked out of every max/softmax/mean so row ``b`` matches
-        :meth:`forward` on candidate ``b`` alone.  Returns ``(B, K)`` chart
-        and table vectors plus ``(B, 2)`` evidence.
-        """
-        col_valid = np.asarray(column_mask, dtype=bool)
-        sim = _scaled_similarity(self.query_proj(lines), self.key_proj(columns))
-        sim = masked_keep(sim, col_valid[:, None, :], -np.inf)  # (B, M, NC)
-
-        line_scores = sim.max(axis=-1)  # (B, M)
-        column_scores = sim.swapaxes(-1, -2).max(axis=-1)  # (B, NC); -inf padded
-
-        line_weights = line_scores.softmax(axis=-1).expand_dims(-1)  # (B, M, 1)
-        # Padded columns are -inf, so they receive exactly zero softmax weight;
-        # at least one column per candidate is real, so no row is all -inf.
-        column_weights = column_scores.softmax(axis=-1).expand_dims(-1)  # (B, NC, 1)
-
-        chart_vecs = (self.value_proj(lines) * line_weights).sum(axis=1)  # (B, K)
-        table_vecs = (self.value_proj(columns) * column_weights).sum(axis=1)  # (B, K)
-        evidence = concatenate(
-            [
-                line_scores.mean(axis=-1).reshape(-1, 1),
-                _masked_mean(column_scores, col_valid),
-            ],
-            axis=-1,
-        )
-        return chart_vecs, table_vecs, evidence
-
     def forward_pairs(
         self,
         lines: Tensor,
@@ -465,35 +363,6 @@ class HCMANMatcher(Module):
         evidence = concatenate([segment_evidence, line_evidence], axis=0)
         return self.head(chart_vec, table_vec, extra=evidence)
 
-    def forward_batch(
-        self,
-        chart_repr: Tensor,
-        table_batch: Tensor,
-        segment_mask: np.ndarray,
-        column_mask: np.ndarray,
-    ) -> Tensor:
-        """Score one chart against ``B`` padded candidate tables at once.
-
-        See :meth:`SegmentLevelAttention.forward_batch` for the stacked
-        layout.  Returns the ``(B,)`` relevance scores; row ``b`` equals
-        :meth:`forward` on candidate ``b``.
-
-        Example
-        -------
-        >>> batch, seg_mask, col_mask = pad_candidate_batch(cached_reps)
-        >>> with model.inference():
-        ...     scores = matcher.forward_batch(chart_repr, Tensor(batch),
-        ...                                    seg_mask, col_mask)  # (B,)
-        """
-        lines, columns, segment_evidence = self.segment_level.forward_batch(
-            chart_repr, table_batch, segment_mask
-        )
-        chart_vecs, table_vecs, line_evidence = self.line_level.forward_batch(
-            lines, columns, column_mask
-        )
-        evidence = concatenate([segment_evidence, line_evidence], axis=-1)
-        return self.head.forward_batch(chart_vecs, table_vecs, extra=evidence)
-
     def forward_pairs(
         self,
         chart_batch: Tensor,
@@ -541,28 +410,6 @@ class AveragedMatcher(Module):
         chart_vec = chart_repr.mean(axis=(0, 1))
         table_vec = table_repr.mean(axis=(0, 1))
         return self.head(chart_vec, table_vec)
-
-    def forward_batch(
-        self,
-        chart_repr: Tensor,
-        table_batch: Tensor,
-        segment_mask: np.ndarray,
-        column_mask: np.ndarray,
-    ) -> Tensor:
-        """Batched mean-pool scoring over ``B`` padded candidates, ``(B,)``."""
-        del column_mask  # segment_mask already covers padded columns entirely
-        b = table_batch.shape[0]
-        seg_valid = np.asarray(segment_mask, dtype=bool)
-        chart_vec = chart_repr.mean(axis=(0, 1))  # (K,), shared by the batch
-        chart_vecs = chart_vec.expand_dims(0) + np.zeros((b, 1))
-        # Masked mean over the real (column, segment) cells of each candidate;
-        # the bool mask and count arrays are lifted to the batch dtype by the
-        # ops themselves.
-        counts = seg_valid.sum(axis=(1, 2))  # (B,)
-        table_vecs = (table_batch * seg_valid[..., None]).sum(axis=(1, 2)) * (
-            1.0 / np.maximum(counts, 1.0)
-        )[:, None]
-        return self.head.forward_batch(chart_vecs, table_vecs)
 
     def forward_pairs(
         self,

@@ -18,13 +18,14 @@ scores are never differentiated; training goes through
 
 Two scoring paths produce identical results:
 
-* :meth:`FCMScorer.score_pair` / :meth:`FCMScorer.score_chart` — the per-pair
-  reference path, one matcher forward per candidate table;
-* :meth:`FCMScorer.score_chart_batch` — the batched path: the cached table
-  representations of *all* candidates are stacked (zero-padded) along a new
-  candidate axis and one matcher forward scores every candidate at once.
-  Padded cells are excluded from every max/softmax/mean inside the matcher,
-  so the scores match the per-pair path to floating-point accuracy.
+* :meth:`FCMScorer.score_chart` — the per-pair reference path, one
+  differentiable matcher forward per candidate table;
+* :meth:`FCMScorer.score_chart_batch` — the serving path: the cached table
+  representations of the candidates are stacked (zero-padded) along a new
+  candidate axis, at most ``batch_size`` per chunk, and the fused kernel of
+  :mod:`repro.fcm.fastpath` scores each chunk in one call.  Padded cells
+  are excluded from every max/softmax/mean, so the scores match the
+  per-pair path to floating-point accuracy.
 
 :meth:`FCMScorer.rank` and the index layer use the batched path; the per-pair
 path remains the ground truth the equivalence tests compare against.
@@ -61,7 +62,6 @@ from .fastpath import (
     coarse_scores,
     pooled_vectors,
     quantize_table,
-    quantized_scores,
 )
 from .model import FCMModel
 from .preprocessing import (
@@ -147,12 +147,8 @@ class FCMScorer:
         self.model = model
         self.config: FCMConfig = model.config
         self.extractor = extractor or VisualElementExtractor()
-        #: Score chunks through the fused inference kernels when the matcher
-        #: supports them (see :mod:`repro.fcm.fastpath`); per-call override
-        #: via ``score_encoded_batch(..., fused=...)``.
-        self.fused = True
         self._encoded: Dict[str, EncodedTable] = {}
-        self._kernel: Optional[FusedMatchKernel] = None
+        self._kernel = FusedMatchKernel(model.matcher)
         self._pad_cache: "OrderedDict[tuple, Tuple[np.ndarray, np.ndarray, np.ndarray]]" = (
             OrderedDict()
         )
@@ -494,16 +490,6 @@ class FCMScorer:
             keep = list(range(len(encoded.column_ranges)))
         return encoded.representations[keep]
 
-    def score_pair(self, chart_input: ChartInput, encoded: EncodedTable) -> float:
-        """Relevance of one query against one cached table."""
-        with self.model.inference():
-            chart_repr = self.model.encode_chart(chart_input)
-            table_repr = Tensor(
-                self._select_columns(encoded, chart_input.y_range),
-                dtype=self.config.numeric_dtype,
-            )
-            return float(self.model.match(chart_repr, table_repr).item())
-
     def score_chart(
         self,
         chart: LineChart,
@@ -534,15 +520,15 @@ class FCMScorer:
         chart: LineChart,
         table_ids: Optional[Sequence[str]] = None,
         batch_size: Optional[int] = 256,
-        fused: Optional[bool] = None,
     ) -> Dict[str, float]:
-        """Relevance against the indexed tables via one stacked matcher call.
+        """Relevance against the indexed tables via stacked fused-kernel calls.
 
         The chart is encoded once; the cached (column-filtered) table
-        representations of every candidate are zero-padded into a
-        ``(B, NC_max, N2_max, K)`` batch and scored by a single
-        :meth:`FCMModel.match_batch` forward.  Scores match
-        :meth:`score_chart` to floating-point accuracy.
+        representations of the candidates are zero-padded into
+        ``(B, NC_max, N2_max, K)`` batches and each batch is scored by one
+        :meth:`FusedMatchKernel.score_batch
+        <repro.fcm.fastpath.FusedMatchKernel.score_batch>` call.  Scores
+        match :meth:`score_chart` to floating-point accuracy.
 
         Parameters
         ----------
@@ -560,15 +546,7 @@ class FCMScorer:
         """
         chart_input = self.prepare_query(chart)
         ids = list(table_ids) if table_ids is not None else self.indexed_table_ids
-        return self.score_encoded_batch(
-            chart_input, ids, batch_size=batch_size, fused=fused
-        )
-
-    def _fused_kernel(self) -> Optional[FusedMatchKernel]:
-        """The per-scorer fused kernel, or ``None`` for unsupported matchers."""
-        if self._kernel is None:
-            self._kernel = FusedMatchKernel(self.model.matcher)
-        return self._kernel if self._kernel.supported else None
+        return self.score_encoded_batch(chart_input, ids, batch_size=batch_size)
 
     def _padded_batch(
         self, chunk_ids: Sequence[str], y_range: Tuple[float, float]
@@ -605,7 +583,6 @@ class FCMScorer:
         chart_input: ChartInput,
         table_ids: Sequence[str],
         batch_size: Optional[int] = 256,
-        fused: Optional[bool] = None,
     ) -> Dict[str, float]:
         """Score a *prepared* query against a shard of cached table encodings.
 
@@ -620,53 +597,30 @@ class FCMScorer:
 
         Every listed table id must already be in the encoding cache
         (:meth:`index_repository` / :meth:`add_encoded`); unknown ids raise
-        ``KeyError``.  ``batch_size`` bounds candidates per stacked matcher
-        forward exactly as in :meth:`score_chart_batch`.
-
-        ``fused`` selects the graph-free fused kernels
-        (:class:`~repro.fcm.fastpath.FusedMatchKernel`); ``None`` follows the
-        scorer-wide :attr:`fused` flag.  Fused and graphed scores are
-        identical (bitwise in float64; rounding noise in float32) — the flag
-        exists as an operational fallback, not a quality trade-off.
+        ``KeyError``.  ``batch_size`` caps the candidates per padded batch
+        (one fused-kernel call each), which bounds the batch memory on large
+        candidate sets; falsy values score every candidate in one batch.
         """
         ids = list(table_ids)
         if not ids:
             return {}
-        use_fused = self.fused if fused is None else bool(fused)
-        kernel = self._fused_kernel() if use_fused else None
         scores: Dict[str, float] = {}
         chunk = len(ids) if not batch_size else max(1, int(batch_size))
         with self.model.inference():
             with span("encode_chart"):
                 chart_repr = self.model.encode_chart(chart_input)
-            if kernel is not None:
-                chart_data = np.ascontiguousarray(chart_repr.numpy())
-                with span("verify_fused", tables=len(ids)):
-                    for start in range(0, len(ids), chunk):
-                        chunk_ids = ids[start : start + chunk]
-                        batch, segment_mask, column_mask = self._padded_batch(
-                            chunk_ids, chart_input.y_range
-                        )
-                        batch_scores = np.atleast_1d(
-                            kernel.score_batch(
-                                chart_data, batch, segment_mask, column_mask
-                            )
-                        )
-                        for table_id, score in zip(chunk_ids, batch_scores):
-                            scores[table_id] = float(score)
-                return scores
+        chart_data = np.ascontiguousarray(chart_repr.numpy())
+        with span("verify_fused", tables=len(ids)):
             for start in range(0, len(ids), chunk):
                 chunk_ids = ids[start : start + chunk]
                 batch, segment_mask, column_mask = self._padded_batch(
                     chunk_ids, chart_input.y_range
                 )
-                batch_scores = self.model.match_batch(
-                    chart_repr,
-                    Tensor(batch, dtype=self.config.numeric_dtype),
-                    segment_mask,
-                    column_mask,
-                ).numpy()
-                batch_scores = np.atleast_1d(batch_scores)
+                batch_scores = np.atleast_1d(
+                    self._kernel.score_batch(
+                        chart_data, batch, segment_mask, column_mask
+                    )
+                )
                 for table_id, score in zip(chunk_ids, batch_scores):
                     scores[table_id] = float(score)
         return scores
@@ -717,13 +671,13 @@ class FCMScorer:
     ) -> List[str]:
         """Rank ``table_ids`` by the coarse int8 score and keep the best.
 
-        The coarse score runs the real matcher (fused when supported, the
-        graphed batched path otherwise) on the segment-pooled quantized pack
-        — see :func:`repro.fcm.fastpath.quantized_scores`.  Returns up to
-        ``keep`` table ids (lexicographically sorted, like the candidate
-        sets the verify stage consumes); ties break on table id so the cut
-        is deterministic.  When ``keep`` covers the whole candidate set this
-        is the identity.
+        The coarse score runs the real matcher (the fused kernel) on the
+        segment-pooled quantized pack — see
+        :func:`repro.fcm.fastpath.coarse_scores`.  Returns up to ``keep``
+        table ids (lexicographically sorted, like the candidate sets the
+        verify stage consumes); ties break on table id so the cut is
+        deterministic.  When ``keep`` covers the whole candidate set this is
+        the identity.
         """
         ids = list(table_ids)
         if keep >= len(ids):
@@ -731,35 +685,19 @@ class FCMScorer:
         with self.model.inference():
             chart_repr = self.model.encode_chart(chart_input)
         chart_data = np.ascontiguousarray(chart_repr.numpy())
-        kernel = self._fused_kernel()
-        if kernel is not None:
-            # The coarse pass only ranks for the overscan cut, so it runs at
-            # PREFILTER_DTYPE (float32) with native-dtype accumulation even
-            # under a float64 session — the exact re-score of the survivors
-            # restores full precision.  The table side (dequantize + key/
-            # value projections) is query-independent and served from a
-            # per-pack cache, so each query pays only the chart-side
-            # projections and the attention/head chain.
-            pack = self.quantized_pack()
-            if self._coarse_cache is None:
-                self._coarse_cache = build_coarse_cache(kernel, pack)
-            scores = coarse_scores(
-                kernel, pack, self._coarse_cache, chart_data, ids
-            )
-        else:
-
-            def score_fn(chart, batch, segment_mask, column_mask):
-                with self.model.inference():
-                    return self.model.match_batch(
-                        chart_repr,
-                        Tensor(batch, dtype=self.config.numeric_dtype),
-                        segment_mask,
-                        column_mask,
-                    ).numpy()
-
-            scores = quantized_scores(
-                self.quantized_pack(), chart_data, ids, score_fn
-            )
+        # The coarse pass only ranks for the overscan cut, so it runs at
+        # PREFILTER_DTYPE (float32) with native-dtype accumulation even
+        # under a float64 session — the exact re-score of the survivors
+        # restores full precision.  The table side (dequantize + key/
+        # value projections) is query-independent and served from a
+        # per-pack cache, so each query pays only the chart-side
+        # projections and the attention/head chain.
+        pack = self.quantized_pack()
+        if self._coarse_cache is None:
+            self._coarse_cache = build_coarse_cache(self._kernel, pack)
+        scores = coarse_scores(
+            self._kernel, pack, self._coarse_cache, chart_data, ids
+        )
         # Descending score, ties broken on table id, so the cut is
         # deterministic.  Partitioning first restricts the id-aware sort to
         # the survivors plus their boundary ties instead of every candidate.

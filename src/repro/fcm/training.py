@@ -16,8 +16,8 @@ in a **single stacked forward/backward**: all charts are encoded in one
 chart-encoder call, every distinct table in one padded dataset-encoder call,
 and the (positive + negatives) pairs are zero-padded and scored by one
 :meth:`FCMModel.match_pairs` forward.  The per-pair loop survives as
-:meth:`FCMTrainer._batch_loss_reference` (``TrainerConfig(batched=False)``)
-and is the ground truth the equivalence tests compare against.
+:meth:`FCMTrainer._batch_loss_reference`, the ground truth the equivalence
+tests compare against.
 """
 
 from __future__ import annotations
@@ -359,14 +359,6 @@ class TrainerConfig:
     #: O(examples x tables) DTW sweep); ``<= 1`` computes it in-process.
     #: Results are identical either way — see :func:`relevance_matrix`.
     relevance_workers: int = 1
-    #: Compute each minibatch's contrastive loss through one stacked
-    #: forward/backward (:meth:`FCMTrainer._batch_loss`) instead of the
-    #: per-pair loop (:meth:`FCMTrainer._batch_loss_reference`).  Both paths
-    #: draw identical negatives and agree on loss and parameter gradients to
-    #: floating-point accuracy (pinned by ``tests/test_batched_training.py``);
-    #: with ``dropout > 0`` they sample different dropout masks and are only
-    #: statistically equivalent.
-    batched: bool = True
 
     def __post_init__(self) -> None:
         if self.strategy not in NEGATIVE_STRATEGIES:
@@ -466,10 +458,7 @@ class FCMTrainer:
             epoch_losses: List[float] = []
             for batch in batch_indices(len(data.examples), self.config.batch_size, rng):
                 batch_table_ids = sorted({data.examples[i].table_id for i in batch})
-                loss_fn = (
-                    self._batch_loss if self.config.batched else self._batch_loss_reference
-                )
-                loss = loss_fn(
+                loss = self._batch_loss(
                     [int(i) for i in batch], batch_table_ids, data, relevance, table_index, rng
                 )
                 if loss is None:
@@ -623,7 +612,7 @@ class FCMTrainer:
         """Per-pair reference path: one matcher forward per (chart, table).
 
         Kept as the ground truth the batched-vs-reference equivalence tests
-        compare against, and selectable via ``TrainerConfig(batched=False)``.
+        compare against (see :meth:`_batch_loss`).
         """
         negatives = self._select_batch_negatives(
             batch_example_indices, batch_table_ids, data, relevance, table_index, rng

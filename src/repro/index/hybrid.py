@@ -44,6 +44,11 @@ class QueryResult:
     #: pre-filter was off or did not engage because the candidate set was
     #: already at or below the keep budget).
     prefiltered: Optional[int] = None
+    #: Why the candidate set was replaced by every table: ``"empty"`` (the
+    #: index strategies found nothing) or ``"short"`` (fewer than ``k``
+    #: candidates in a repository of at least ``k`` tables); ``None`` when
+    #: the index strategies' own candidate set was verified.
+    fallback: Optional[str] = None
 
     @property
     def pruned_fraction(self) -> float:
@@ -339,49 +344,54 @@ class HybridQueryProcessor:
         chart: LineChart,
         k: int,
         strategy: str = "hybrid",
-        num_verify_shards: int = 1,
         verifier: Optional[Callable[..., Optional[Dict[str, float]]]] = None,
         prefilter_keep: Optional[int] = None,
-        fused: Optional[bool] = None,
     ) -> QueryResult:
         """Run one top-``k`` query under the chosen indexing strategy.
 
-        ``num_verify_shards > 1`` splits candidate verification into that
-        many stacked matcher forwards instead of one, bounding the padded
-        batch size on very large repositories; scores (hence rankings) are
-        unchanged — only the batch composition per forward differs.
+        A candidate set that cannot fill the ranking falls back to verifying
+        every table: an empty set (``fallback="empty"``) and, when the
+        repository holds at least ``k`` tables, a non-empty set smaller than
+        ``k`` (``fallback="short"``).  The reason is reported on
+        :attr:`QueryResult.fallback`; :class:`~repro.serving.SearchService`
+        counts it per reason.
 
         ``verifier`` optionally replaces the in-process verification stage:
-        it is called as ``verifier(chart_input, ordered_ids, num_shards)``
-        and must return ``{table_id: score}`` covering every candidate — or
-        ``None`` to decline, in which case verification runs in-process as
-        usual.  This is the hook the serving layer routes its process-level
+        it is called as ``verifier(chart_input, ordered_ids)`` and must
+        return ``{table_id: score}`` covering every candidate — or ``None``
+        to decline, in which case verification runs in-process as usual.
+        This is the hook the serving layer routes its process-level
         :class:`~repro.serving.workers.QueryWorkerPool` through (returning
         ``None`` on any pool failure, so a query is never lost to a dead
-        worker).
+        worker).  In-process verification is bounded by the scorer's
+        ``batch_size`` chunking (:meth:`FCMScorer.score_encoded_batch`).
 
         ``prefilter_keep`` (when set) runs the int8 quantized pre-filter
         before verification whenever more candidates than that survive the
         index strategies: only the best ``prefilter_keep`` by the cheap proxy
-        score go on to exact scoring (in-process *or* worker-pool — the
-        reduction happens before the shard split).  ``fused`` is forwarded to
-        the in-process scoring path (see
-        :meth:`FCMScorer.score_encoded_batch`).
+        score go on to exact scoring (in-process *or* worker-pool).
         """
         start = time.perf_counter()
+        total_tables = len(self._tables)
+        fallback: Optional[str] = None
         with span("candidates", strategy=strategy) as sp:
             candidate_ids = self.candidates(chart, strategy)
+            # A filter that leaves too few candidates should degrade, not
+            # crash or truncate the ranking: fall back to verifying
+            # everything (still counted in the timing).
             if not candidate_ids:
-                # An over-aggressive filter should degrade, not crash: fall
-                # back to verifying everything (still counted in the timing).
+                fallback = "empty"
+            elif len(candidate_ids) < min(int(k), total_tables):
+                fallback = "short"
+            if fallback is not None:
                 candidate_ids = set(self._tables.keys())
                 if sp is not None:
-                    sp.attributes["empty_fallback"] = True
+                    sp.attributes["fallback"] = fallback
+                    if fallback == "empty":
+                        sp.attributes["empty_fallback"] = True
             if sp is not None:
                 sp.attributes["candidates"] = len(candidate_ids)
-                sp.attributes["total_tables"] = len(self._tables)
-        # FCM verification runs the batched no-grad path: one stacked matcher
-        # forward per shard scores every surviving candidate.
+                sp.attributes["total_tables"] = total_tables
         ordered = sorted(candidate_ids)
         prefiltered: Optional[int] = None
         if prefilter_keep is not None and 0 < prefilter_keep < len(ordered):
@@ -392,33 +402,14 @@ class HybridQueryProcessor:
                     self.scorer.prepare_query(chart), ordered, int(prefilter_keep)
                 )
             prefiltered = len(ordered)
-        num_shards = max(1, min(int(num_verify_shards), len(ordered) or 1))
         scores: Optional[Dict[str, float]] = None
-        with span("verify", shards=num_shards, candidates=len(ordered)) as sp:
+        with span("verify", candidates=len(ordered)) as sp:
             if verifier is not None:
-                scores = verifier(
-                    self.scorer.prepare_query(chart), ordered, num_shards
-                )
+                scores = verifier(self.scorer.prepare_query(chart), ordered)
                 if sp is not None:
                     sp.attributes["via_worker_pool"] = scores is not None
             if scores is None:
-                if num_shards == 1:
-                    scores = self.scorer.score_chart_batch(
-                        chart, table_ids=ordered, fused=fused
-                    )
-                else:
-                    shard_size = -(-len(ordered) // num_shards)  # ceil division
-                    scores = {}
-                    for shard_start in range(0, len(ordered), shard_size):
-                        scores.update(
-                            self.scorer.score_chart_batch(
-                                chart,
-                                table_ids=ordered[
-                                    shard_start : shard_start + shard_size
-                                ],
-                                fused=fused,
-                            )
-                        )
+                scores = self.scorer.score_chart_batch(chart, table_ids=ordered)
         with span("merge", scored=len(scores)):
             ranking = sorted(scores.items(), key=lambda item: item[1], reverse=True)[
                 :k
@@ -427,7 +418,8 @@ class HybridQueryProcessor:
         return QueryResult(
             ranking=ranking,
             candidates=len(candidate_ids),
-            total_tables=len(self._tables),
+            total_tables=total_tables,
             seconds=elapsed,
             prefiltered=prefiltered,
+            fallback=fallback,
         )

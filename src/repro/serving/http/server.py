@@ -695,6 +695,12 @@ class ChartSearchServer:
         registry.gauge(
             "service_subscriptions_active", "Standing subscriptions registered."
         ).set(float(len(self.service.subscriptions)))
+        candidate_fallbacks = registry.counter(
+            "repro_candidates_fallback_total",
+            "Queries whose candidate set fell back to every table, by reason.",
+        )
+        for reason, count in service_stats.candidate_fallbacks.items():
+            candidate_fallbacks.set_total(count, reason=reason)
         fallback_active = registry.gauge(
             "service_worker_fallback_active",
             "1 while the worker pool is sticky-disabled, by cause.",
@@ -739,6 +745,7 @@ class ChartSearchServer:
                 "segments_encoded": service_stats.segments_encoded,
                 "subscription_events": service_stats.subscription_events,
                 "subscriptions_active": len(self.service.subscriptions),
+                "candidate_fallbacks": dict(service_stats.candidate_fallbacks),
             },
         }
         return 200, body

@@ -96,18 +96,11 @@ class ServingConfig:
     num_workers:
         Default worker-process count for :meth:`SearchService.build`
         (``<= 1`` encodes in-process).
-    num_query_shards:
-        When ``> 1``, candidate verification fans out over this many shards
-        of the candidate set — one stacked matcher forward per shard —
-        bounding the padded batch size on very large repositories.  Results
-        are identical to the single-batch path.  With ``query_workers`` set,
-        this is the number of shards scattered over the worker pool
-        (``1`` means one shard per worker).
     query_workers:
         When ``>= 2``, candidate verification runs on a persistent
         process-level worker pool (:class:`repro.serving.workers.QueryWorkerPool`):
         each worker rehydrates the model once, receives incremental cache
-        syncs, and scores a shard of the candidates per query.  Rankings and
+        syncs, and scores one shard of the candidates per query.  Rankings and
         scores are identical to in-process serving; any pool failure falls
         back in-process (sticky — see :meth:`SearchService.reset_query_pool`).
         ``0`` (default) and ``1`` verify in-process.
@@ -148,13 +141,6 @@ class ServingConfig:
         the instrumented stages cost a context-variable read each when
         tracing is off (the ≤5 % overhead bound is measured in
         ``benchmarks/test_serving_throughput.py``).  Default ``False``.
-    fused:
-        When ``True`` (default), candidate verification uses the fused
-        inference kernels (:mod:`repro.fcm.fastpath`) — preallocated
-        NumPy contractions that bypass Tensor-graph allocation.  Scores
-        are bitwise identical to the graphed batched path; matcher
-        architectures the kernel does not support fall back per call.
-        ``False`` forces the graphed path everywhere (debugging aid).
     quantized_prefilter:
         When ``True``, queries first rank all LSH/interval candidates with
         the int8 symmetric-quantized encodings and keep only
@@ -178,14 +164,12 @@ class ServingConfig:
     lsh_config: Optional[LSHConfig] = None
     result_cache_size: int = 128
     num_workers: int = 1
-    num_query_shards: int = 1
     query_workers: int = 0
     worker_timeout: Optional[float] = 30.0
     build_timeout: Optional[float] = None
     dtype: Optional[str] = None
     mmap_index: bool = False
     tracing: bool = False
-    fused: bool = True
     quantized_prefilter: bool = False
     prefilter_overscan: int = 8
     streaming: Optional[StreamingConfig] = None
@@ -193,8 +177,6 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.result_cache_size < 0:
             raise ValueError("result_cache_size must be >= 0")
-        if self.num_query_shards < 1:
-            raise ValueError("num_query_shards must be >= 1")
         if self.query_workers < 0:
             raise ValueError("query_workers must be >= 0")
         if self.worker_timeout is not None and self.worker_timeout <= 0:
@@ -259,6 +241,12 @@ class ServiceStats:
     segments_encoded: int = 0
     #: Subscription events fired across all ingest batches.
     subscription_events: int = 0
+    #: Queries whose candidate set fell back to every table, by
+    #: :attr:`QueryResult.fallback <repro.index.hybrid.QueryResult.fallback>`
+    #: reason (``"empty"`` / ``"short"``); cache hits are not recounted.
+    candidate_fallbacks: Dict[str, int] = field(
+        default_factory=lambda: {"empty": 0, "short": 0}
+    )
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """A plain-dict snapshot (JSON-friendly, used by the benchmarks)."""
@@ -292,7 +280,6 @@ class SearchService:
                 f"precision policy (e.g. REPRO_DTYPE={self.config.dtype})"
             )
         self.scorer = FCMScorer(model, extractor=extractor)
-        self.scorer.fused = self.config.fused
         self.processor = HybridQueryProcessor(
             self.scorer, lsh_config=self.config.lsh_config
         )
@@ -643,31 +630,25 @@ class SearchService:
         self._pool_table_ids = current
         self._pool_removed_ids.clear()
 
-    def _verify_with_workers(self, chart_input, ordered_ids, num_shards, fused=None):
+    def _verify_with_workers(self, chart_input, ordered_ids):
         """Verification hook handed to :meth:`HybridQueryProcessor.query`.
 
-        Returns the worker-pool scores, or ``None`` after retiring the pool
-        on any failure (the processor then verifies in-process — the query
-        always succeeds).  ``fused`` overrides the workers' fused-kernel
-        default for this query (each worker scorer starts with
-        ``ServingConfig.fused``).
+        Splits the candidates into one shard per worker and returns the
+        worker-pool scores, or ``None`` after retiring the pool on any
+        failure (the processor then verifies in-process — the query always
+        succeeds).
         """
         pool = self._ensure_query_pool()
         if pool is None:
             return None
         try:
             self._sync_query_pool(pool)
-            shards = split_shards(
-                ordered_ids, num_shards if num_shards > 1 else pool.num_workers
-            )
+            shards = split_shards(ordered_ids, pool.num_workers)
             with span(
                 "scatter_gather", shards=len(shards), workers=pool.num_workers
             ):
                 scores = pool.score(
-                    chart_input,
-                    shards,
-                    timeout=self.config.worker_timeout,
-                    fused=self.config.fused if fused is None else fused,
+                    chart_input, shards, timeout=self.config.worker_timeout
                 )
         except Exception as exc:
             self._retire_query_pool(f"{type(exc).__name__}: {exc}")
@@ -716,7 +697,6 @@ class SearchService:
         chart: LineChart,
         k: int,
         strategy: str = "hybrid",
-        fused: Optional[bool] = None,
     ) -> QueryResult:
         """Top-``k`` search with result caching and per-strategy statistics.
 
@@ -735,31 +715,25 @@ class SearchService:
         boundary); the finished tree lands on :attr:`last_trace` and, past
         ``REPRO_SLOW_QUERY_MS``, in the slow-query log.
 
-        ``fused`` overrides ``ServingConfig.fused`` for this call only
-        (``None`` follows the config).  Fused scores are bitwise identical
-        to the graphed path, so the override never changes the ranking and
-        the result cache is shared between both paths.
-
         With ``ServingConfig(quantized_prefilter=True)`` the candidate set
         is first ranked by the int8 quantized encodings and only the top
         ``k * prefilter_overscan`` survive to exact verification
         (:attr:`QueryResult.prefiltered` reports the survivor count).
+
+        A candidate set too small to fill the ranking is replaced by every
+        table (:attr:`QueryResult.fallback`);
+        :attr:`ServiceStats.candidate_fallbacks` counts those queries per
+        reason.
         """
         if self.config.tracing and current_span() is None:
             with start_trace("query", k=int(k), strategy=strategy) as root:
-                result = self._query_impl(chart, k, strategy, fused)
+                result = self._query_impl(chart, k, strategy)
             self.last_trace = root.to_dict()
             maybe_log_slow_query(self.last_trace)
             return result
-        return self._query_impl(chart, k, strategy, fused)
+        return self._query_impl(chart, k, strategy)
 
-    def _query_impl(
-        self,
-        chart: LineChart,
-        k: int,
-        strategy: str,
-        fused: Optional[bool] = None,
-    ) -> QueryResult:
+    def _query_impl(self, chart: LineChart, k: int, strategy: str) -> QueryResult:
         key = (chart.fingerprint(), int(k), strategy)
         with span("cache") as sp:
             hit = self._result_cache.get(key)
@@ -772,11 +746,7 @@ class SearchService:
 
         verifier = None
         if self.config.query_workers >= 2 and self.worker_fallback_reason is None:
-
-            def verifier(chart_input, ordered_ids, num_shards):
-                return self._verify_with_workers(
-                    chart_input, ordered_ids, num_shards, fused=fused
-                )
+            verifier = self._verify_with_workers
 
         prefilter_keep = (
             int(k) * self.config.prefilter_overscan
@@ -787,16 +757,16 @@ class SearchService:
             chart,
             k,
             strategy=strategy,
-            num_verify_shards=self.config.num_query_shards,
             verifier=verifier,
             prefilter_keep=prefilter_keep,
-            fused=fused,
         )
 
         stats = self.stats.per_strategy[strategy]
         stats.queries += 1
         stats.total_seconds += result.seconds
         stats.total_candidates += result.candidates
+        if result.fallback is not None:
+            self.stats.candidate_fallbacks[result.fallback] += 1
 
         if self.config.result_cache_size > 0:
             self._result_cache[key] = result

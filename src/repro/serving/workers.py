@@ -1,10 +1,9 @@
 """Persistent process-level query-verification workers.
 
-``ServingConfig(num_query_shards=N)`` bounds the padded matcher batch by
-splitting candidate verification into N stacked forwards — but they all run
-on the parent's single core.  This module gives :class:`SearchService` real
-*process*-level parallelism for the verification stage without paying a
-process-spawn (or model-rebuild) cost per query:
+In-process verification scores every candidate on the parent's single
+core.  This module gives :class:`SearchService` real *process*-level
+parallelism for the verification stage without paying a process-spawn (or
+model-rebuild) cost per query:
 
 * :class:`QueryWorkerPool` keeps ``num_workers`` long-lived worker processes
   alive for the service's lifetime.  Each worker rehydrates the model
@@ -15,8 +14,8 @@ process-spawn (or model-rebuild) cost per query:
   (and evictions) to every worker incrementally, so after the initial
   broadcast an ``add_tables`` of m tables ships only those m encodings.
 * Per query, the parent prepares the chart once
-  (:meth:`FCMScorer.prepare_query`) and scatters ``(chart_input, shard)``
-  tasks; each worker scores its shard with
+  (:meth:`FCMScorer.prepare_query`) and scatters one ``(chart_input, shard)``
+  task per worker; each worker scores its shard with
   :meth:`FCMScorer.score_encoded_batch` against its own synced cache.
   Identical inputs, weights and ops mean the gathered scores equal the
   in-process path to floating-point accuracy (``tests/test_serving.py``
@@ -117,21 +116,15 @@ def _worker_main(
                     scorer.evict_table(table_id)
                 reply = ("ok", len(encoded) + len(evicted))
             elif kind == "score":
-                # Length-tolerant unpack: older parents send a 4-tuple, the
-                # current parent appends an options dict (``fused`` override).
-                _, chart_input, table_ids, trace_id, *rest = message
-                options = rest[0] if rest else {}
-                fused = options.get("fused")
+                _, chart_input, table_ids, trace_id = message
                 if trace_id is None:
-                    scores = scorer.score_encoded_batch(
-                        chart_input, table_ids, fused=fused
-                    )
+                    scores = scorer.score_encoded_batch(chart_input, table_ids)
                     reply = ("ok", (scores, None))
                 else:
                     with start_trace("worker", trace_id=trace_id) as root:
                         with span("shard_score", tables=len(table_ids)):
                             scores = scorer.score_encoded_batch(
-                                chart_input, table_ids, fused=fused
+                                chart_input, table_ids
                             )
                     if not rehydrate_reported:
                         root.attach(
@@ -173,11 +166,9 @@ def split_shards(ids: Sequence[str], num_shards: int) -> List[List[str]]:
     never an empty shard, so nothing useless is ever shipped over a worker
     pipe (:meth:`QueryWorkerPool.score` additionally drops empties defence
     in depth); an empty id list yields no shards at all.  A non-positive
-    ``num_shards`` is a caller bug — e.g. a ``ServingConfig`` mutated after
-    its ``__post_init__`` validation ran — and raises :class:`ValueError`
-    loudly instead of silently collapsing the fan-out into one shard (the
-    serving layer catches it like any other pool failure and verifies
-    in-process).
+    ``num_shards`` is a caller bug and raises :class:`ValueError` loudly
+    instead of silently collapsing the fan-out into one shard (the serving
+    layer catches it like any other pool failure and verifies in-process).
     """
     if int(num_shards) < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
@@ -402,16 +393,13 @@ class QueryWorkerPool:
         chart_input: ChartInput,
         shards: Sequence[Sequence[str]],
         timeout: Optional[float] = None,
-        fused: Optional[bool] = None,
     ) -> Dict[str, float]:
         """Scatter candidate shards over the workers and gather the scores.
 
         Shards are assigned round-robin (shard *i* to worker ``i % W``); a
         worker holding several shards pipelines them over its FIFO pipe.
         Returns the merged ``{table_id: score}`` map covering every id in
-        every shard.  ``fused`` rides along in the per-shard options dict and
-        overrides each worker scorer's fused-kernel default for this query
-        (``None`` keeps the worker default; scores are identical either way).
+        every shard.
 
         When an ambient trace is active (see :mod:`repro.obs.tracing`) the
         trace id rides along with every shard; workers answer with
@@ -424,13 +412,12 @@ class QueryWorkerPool:
         if not shards:
             return {}
         trace_id = current_trace_id()
-        options = {"fused": fused}
         deadline = self._deadline(timeout)
         assigned: List[int] = []
         for index, (shard, conn) in enumerate(
             zip(shards, itertools.cycle(self._connections))
         ):
-            conn.send(("score", chart_input, shard, trace_id, options))
+            conn.send(("score", chart_input, shard, trace_id))
             assigned.append(index % len(self._connections))
         scores: Dict[str, float] = {}
         worker_trees: List[Dict] = []

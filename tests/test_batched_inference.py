@@ -24,6 +24,7 @@ import pytest
 from repro.charts import ChartSpec, render_chart_for_table
 from repro.data import Column, Table
 from repro.fcm import FCMConfig
+from repro.fcm.fastpath import FusedMatchKernel
 from repro.fcm.model import FCMModel
 from repro.fcm.preprocessing import prepare_table_input
 from repro.fcm.scorer import FCMScorer, pad_candidate_batch
@@ -202,23 +203,24 @@ class TestBatchedEquivalence:
     def test_empty_candidate_set(self, scorer, query_chart):
         assert scorer.score_chart_batch(query_chart, table_ids=[]) == {}
 
-    def test_match_batch_on_ragged_shapes(self):
-        """Direct matcher-level equivalence across padded shapes."""
+    def test_fused_kernel_on_ragged_shapes(self):
+        """Direct kernel-level equivalence with per-pair ``match`` across
+        padded shapes."""
         rng = np.random.default_rng(9)
         for use_hcman in (True, False):
             model = FCMModel(_tiny_config(use_hcman=use_hcman))
             model.eval()
-            chart = Tensor(rng.standard_normal((2, 4, 16)))
+            dtype = model.config.numeric_dtype
+            chart = Tensor(rng.standard_normal((2, 4, 16)), dtype=dtype)
             reps = [
-                rng.standard_normal((nc, n2, 16))
+                rng.standard_normal((nc, n2, 16)).astype(dtype)
                 for nc, n2 in [(1, 1), (3, 2), (2, 4), (4, 3)]
             ]
             expected = [float(model.match(chart, Tensor(rep)).item()) for rep in reps]
             batch, segment_mask, column_mask = pad_candidate_batch(reps)
-            with no_grad():
-                got = model.match_batch(
-                    chart, Tensor(batch), segment_mask, column_mask
-                ).numpy()
+            got = FusedMatchKernel(model.matcher).score_batch(
+                chart.numpy(), batch, segment_mask, column_mask
+            )
             np.testing.assert_allclose(got, expected, atol=dtype_tol(1e-8, 5e-5))
 
     def test_pad_candidate_batch_masks(self):

@@ -272,9 +272,10 @@ class TestBatchedTrainingEquivalence:
         for batched in (True, False):
             model = FCMModel(_tiny_config())
             trainer = FCMTrainer(
-                model,
-                TrainerConfig(epochs=1, batch_size=4, num_negatives=1, batched=batched),
+                model, TrainerConfig(epochs=1, batch_size=4, num_negatives=1)
             )
+            if not batched:
+                trainer._batch_loss = trainer._batch_loss_reference
             history = trainer.train(data, relevance=relevance, table_order=order)
             assert len(history.epochs) == 1
             assert np.isfinite(history.final_loss)
@@ -392,11 +393,10 @@ class TestBatchedTrainingPerf:
         def epoch_seconds(batched: bool):
             model = FCMModel(config)
             trainer = FCMTrainer(
-                model,
-                TrainerConfig(
-                    epochs=1, batch_size=8, num_negatives=3, batched=batched
-                ),
+                model, TrainerConfig(epochs=1, batch_size=8, num_negatives=3)
             )
+            if not batched:
+                trainer._batch_loss = trainer._batch_loss_reference
             start = time.perf_counter()
             history = trainer.train(data, relevance=relevance, table_order=order)
             return time.perf_counter() - start, history.final_loss

@@ -2,13 +2,16 @@
 
 Four contracts are pinned down here:
 
-* **fused == graphed** — the fused inference kernels must reproduce the
-  batched Tensor path's scores (bitwise in float64, rounding noise in
-  float32) across matcher variants, chunkings and the worker-pool path,
-  and the per-call ``fused=`` override must win over the scorer-wide flag;
+* **fused == forward_pairs** — the fused inference kernel must reproduce the
+  differentiable ``matcher.forward_pairs`` with the query chart repeated per
+  pair (bitwise in float64, rounding noise in float32) across matcher
+  variants, chunkings and ragged candidate shapes, and the worker-pool path
+  must rank like the in-process one;
 * **quantization edge cases** — all-zero tables take the ``scale = 0.0``
-  guard, round-trip error respects the symmetric-quantization bound, and
-  the pooled pack's geometry/masks mirror the encodings;
+  guard, round-trip error respects the symmetric-quantization bound, the
+  pooled pack's geometry/masks mirror the encodings, and the cached coarse
+  pass equals :func:`quantized_scores` (a dequantize-then-score oracle
+  kept here);
 * **pre-filter semantics** — overscan covers-all is the identity, the kept
   set is deterministic, the serving flag validates, and on the *trained*
   fixture the top-k recall against exact scoring holds the pinned floor;
@@ -30,13 +33,15 @@ from repro.fcm.fastpath import (
     PREFILTER_DTYPE,
     PREFILTER_POOL,
     FusedMatchKernel,
+    QuantizedPack,
     build_coarse_cache,
     build_quantized_pack,
     coarse_scores,
     quantize_table,
-    quantized_scores,
 )
+from repro.fcm.scorer import pad_candidate_batch
 from repro.index import LSHConfig
+from repro.nn import Tensor
 from repro.obs import get_registry
 from repro.serving import (
     SearchService,
@@ -94,8 +99,52 @@ def _make_service(model, **config_kwargs) -> SearchService:
     return SearchService(model, ServingConfig(**config_kwargs))
 
 
+def quantized_scores(
+    pack: QuantizedPack, chart_repr: np.ndarray, table_ids, score_fn
+) -> np.ndarray:
+    """Oracle for :func:`coarse_scores`: dequantize the pack rows of
+    ``table_ids`` and run ``score_fn(chart_repr, batch, segment_mask,
+    column_mask)`` on them.  Unknown ids score ``-inf``."""
+    chart = np.ascontiguousarray(chart_repr)
+    out = np.full(len(table_ids), -np.inf, dtype=np.float64)
+    positions = np.asarray(
+        [pack.index.get(table_id, -1) for table_id in table_ids], dtype=np.int64
+    )
+    known = positions >= 0
+    if known.any():
+        rows = positions[known]
+        batch = pack.codes[rows].astype(chart.dtype)
+        batch *= pack.scales[rows][:, None, None, None].astype(chart.dtype)
+        out[known] = np.atleast_1d(
+            score_fn(chart, batch, pack.segment_mask[rows], pack.column_mask[rows])
+        )
+    return out
+
+
+def forward_pairs_scores(scorer, chart_input, table_ids, batch_size):
+    """Oracle for the fused verify path: ``model.match_pairs`` over the same
+    padded chunks, with the query chart repeated once per candidate."""
+    ids = list(table_ids)
+    chunk = len(ids) if not batch_size else batch_size
+    scores = {}
+    with scorer.model.inference():
+        chart_repr = scorer.model.encode_chart(chart_input).numpy()
+        for start in range(0, len(ids), chunk):
+            chunk_ids = ids[start : start + chunk]
+            batch, segment_mask, _ = scorer._padded_batch(
+                chunk_ids, chart_input.y_range
+            )
+            charts = np.repeat(chart_repr[None], len(chunk_ids), axis=0)
+            chart_mask = np.ones(charts.shape[:-1], dtype=bool)
+            out = scorer.model.match_pairs(
+                Tensor(charts), Tensor(batch), chart_mask, segment_mask
+            ).numpy()
+            scores.update(zip(chunk_ids, np.atleast_1d(out).tolist()))
+    return scores
+
+
 # --------------------------------------------------------------------------- #
-# Fused kernels vs the graphed batched path
+# Fused kernel vs forward_pairs
 # --------------------------------------------------------------------------- #
 class TestFusedParity:
     @pytest.fixture(
@@ -111,53 +160,72 @@ class TestFusedParity:
         scorer.index_repository(repository)
         return scorer
 
-    def test_fused_matches_graphed_scores(self, scorer, query_chart):
-        fused = scorer.score_chart_batch(query_chart, fused=True)
-        graphed = scorer.score_chart_batch(query_chart, fused=False)
-        assert set(fused) == set(graphed)
-        for table_id, score in graphed.items():
+    @pytest.mark.parametrize("batch_size", [None, 3])
+    def test_fused_matches_forward_pairs(self, scorer, query_chart, batch_size):
+        fused = scorer.score_chart_batch(query_chart, batch_size=batch_size)
+        reference = forward_pairs_scores(
+            scorer,
+            scorer.prepare_query(query_chart),
+            scorer.indexed_table_ids,
+            batch_size,
+        )
+        assert set(fused) == set(reference)
+        for table_id, score in reference.items():
             assert fused[table_id] == pytest.approx(
                 score, abs=dtype_tol(1e-8, 5e-5)
             )
         if active_dtype() == np.float64:
             # Same NumPy expressions in the same order: bitwise equality.
-            assert fused == graphed
+            assert fused == reference
+
+    def test_fused_matches_forward_pairs_on_ragged_shapes(self, scorer):
+        model = scorer.model
+        dtype = model.config.numeric_dtype
+        rng = np.random.default_rng(9)
+        chart = rng.standard_normal((2, 4, 16)).astype(dtype)
+        reps = [
+            rng.standard_normal((nc, n2, 16)).astype(dtype)
+            for nc, n2 in [(1, 1), (3, 2), (2, 4), (4, 3)]
+        ]
+        batch, segment_mask, column_mask = pad_candidate_batch(reps)
+        fused = FusedMatchKernel(model.matcher).score_batch(
+            chart, batch, segment_mask, column_mask
+        )
+        charts = np.repeat(chart[None], len(reps), axis=0)
+        with model.inference():
+            reference = model.match_pairs(
+                Tensor(charts),
+                Tensor(batch),
+                np.ones(charts.shape[:-1], dtype=bool),
+                segment_mask,
+            ).numpy()
+        np.testing.assert_allclose(fused, reference, atol=dtype_tol(1e-8, 5e-5))
+        if active_dtype() == np.float64:
+            assert np.array_equal(fused, reference)
 
     def test_fused_chunked_matches_single_batch(self, scorer, query_chart):
-        full = scorer.score_chart_batch(query_chart, batch_size=None, fused=True)
-        chunked = scorer.score_chart_batch(query_chart, batch_size=3, fused=True)
+        full = scorer.score_chart_batch(query_chart, batch_size=None)
+        chunked = scorer.score_chart_batch(query_chart, batch_size=3)
         for table_id, score in full.items():
             assert chunked[table_id] == pytest.approx(
                 score, abs=dtype_tol(1e-8, 5e-5)
             )
 
-    def test_kernel_supported_for_shipped_matchers(self, scorer):
-        kernel = scorer._fused_kernel()
-        assert kernel is not None and kernel.supported
-
-    def test_unsupported_matcher_reports_and_falls_back(
-        self, scorer, query_chart, monkeypatch
-    ):
+    def test_kernel_rejects_foreign_matcher(self):
         class _ForeignMatcher:
             pass
 
-        dead = FusedMatchKernel(_ForeignMatcher())
-        assert not dead.supported
-        monkeypatch.setattr(scorer, "_kernel", dead)
-        assert scorer._fused_kernel() is None
-        # fused=True silently degrades to the graphed path, same scores.
-        fused = scorer.score_chart_batch(query_chart, fused=True)
-        graphed = scorer.score_chart_batch(query_chart, fused=False)
-        assert fused == graphed
+        with pytest.raises(TypeError, match="_ForeignMatcher"):
+            FusedMatchKernel(_ForeignMatcher())
 
     def test_scratch_pool_reused_across_calls(self, repository, query_chart):
         scorer = FCMScorer(FCMModel(_tiny_config()))
         scorer.index_repository(repository)
-        scorer.score_chart_batch(query_chart, fused=True)
-        kernel = scorer._fused_kernel()
+        scorer.score_chart_batch(query_chart)
+        kernel = scorer._kernel
         first_misses = kernel.pool.misses
         assert first_misses > 0
-        scorer.score_chart_batch(query_chart, fused=True)
+        scorer.score_chart_batch(query_chart)
         assert kernel.pool.misses == first_misses  # arenas served every op
         assert kernel.pool.hits > 0
 
@@ -167,39 +235,16 @@ class TestFusedParity:
         counter = get_registry().counter("repro_pad_cache_total")
         hits_before = counter.value(result="hit")
         misses_before = counter.value(result="miss")
-        scorer.score_chart_batch(query_chart, fused=True)
+        scorer.score_chart_batch(query_chart)
         assert counter.value(result="miss") > misses_before
         misses_after_first = counter.value(result="miss")
-        # The graphed path shares the cache: same chunks, no new misses.
-        scorer.score_chart_batch(query_chart, fused=False)
+        # Same chunks for the same query: served from the cache.
+        scorer.score_chart_batch(query_chart)
         assert counter.value(result="miss") == misses_after_first
         assert counter.value(result="hit") > hits_before
 
 
 class TestServingFusedParity:
-    def test_per_call_override_and_config_flag(self, small_records):
-        model = FCMModel(_tiny_config())
-        tables = [record.table for record in small_records[:6]]
-        chart = render_chart_for_table(
-            small_records[0].table,
-            list(small_records[0].spec.y_columns),
-            x_column=small_records[0].spec.x_column,
-            spec=model.config.chart_spec,
-        )
-        fused_service = _make_service(model, result_cache_size=0)
-        fused_service.build(tables)
-        graphed_service = _make_service(model, fused=False, result_cache_size=0)
-        graphed_service.build(tables)
-        assert fused_service.scorer.fused
-        assert not graphed_service.scorer.fused
-        a = fused_service.query(chart, k=5, strategy="none")
-        b = graphed_service.query(chart, k=5, strategy="none")
-        override = fused_service.query(chart, k=5, strategy="none", fused=False)
-        for other in (b, override):
-            assert [t for t, _ in a.ranking] == [t for t, _ in other.ranking]
-            for (_, sa), (_, sb) in zip(a.ranking, other.ranking):
-                assert abs(sa - sb) <= dtype_tol(1e-8, 5e-5)
-
     def test_worker_pool_matches_in_process(self, small_records):
         model = FCMModel(_tiny_config())
         tables = [record.table for record in small_records[:6]]
@@ -216,12 +261,11 @@ class TestServingFusedParity:
         )
         pooled.build(tables)
         try:
-            for fused in (None, False):
-                a = in_process.query(chart, k=5, strategy="none", fused=fused)
-                b = pooled.query(chart, k=5, strategy="none", fused=fused)
-                assert [t for t, _ in a.ranking] == [t for t, _ in b.ranking]
-                for (_, sa), (_, sb) in zip(a.ranking, b.ranking):
-                    assert abs(sa - sb) <= dtype_tol(1e-8, 5e-5)
+            a = in_process.query(chart, k=5, strategy="none")
+            b = pooled.query(chart, k=5, strategy="none")
+            assert [t for t, _ in a.ranking] == [t for t, _ in b.ranking]
+            for (_, sa), (_, sb) in zip(a.ranking, b.ranking):
+                assert abs(sa - sb) <= dtype_tol(1e-8, 5e-5)
             if pooled.worker_fallback_reason is None:
                 assert pooled.stats.worker_queries > 0
         finally:
@@ -271,31 +315,6 @@ class TestQuantization:
         ]
         assert pack.scales[2] == 0.0  # all-zero table keeps the guard
 
-    def test_scores_run_real_matcher_and_unknown_ids_sink(self, repository):
-        scorer = FCMScorer(FCMModel(_tiny_config()))
-        scorer.index_repository(repository[:4])
-        pack = scorer.quantized_pack()
-        assert pack.pool == PREFILTER_POOL
-        chart = np.zeros((1, 2, 16))
-        calls = []
-
-        def score_fn(chart_repr, batch, segment_mask, column_mask):
-            calls.append(batch.shape)
-            return np.arange(batch.shape[0], dtype=np.float64)
-
-        ids = list(pack.table_ids) + ["missing"]
-        scores = quantized_scores(pack, chart, ids, score_fn)
-        assert calls and calls[0][0] == len(pack.table_ids)
-        assert scores[-1] == -np.inf
-        assert np.all(np.isfinite(scores[:-1]))
-
-    def test_empty_pack_scores_nothing(self):
-        pack = build_quantized_pack([])
-        scores = quantized_scores(
-            pack, np.zeros((1, 1, 4)), ["anything"], lambda *a: np.zeros(1)
-        )
-        assert scores.tolist() == [-np.inf]
-
 
 # --------------------------------------------------------------------------- #
 # Prebuilt coarse cache (query-independent table-side projections)
@@ -321,7 +340,8 @@ class TestCoarseCache:
         """The cache only moves query-independent work: per-id scores equal
         the chunk-wise dequantize-then-project flow at PREFILTER_DTYPE."""
         pack = scorer.quantized_pack()
-        kernel = scorer._fused_kernel()
+        assert pack.pool == PREFILTER_POOL
+        kernel = scorer._kernel
         cache = build_coarse_cache(kernel, pack)
         chart = self._chart_repr(scorer, query_chart)
         ids = list(pack.table_ids) + ["missing"]
@@ -338,7 +358,7 @@ class TestCoarseCache:
 
     def test_cache_shape_matches_matcher_variant(self, scorer):
         pack = scorer.quantized_pack()
-        cache = build_coarse_cache(scorer._fused_kernel(), pack)
+        cache = build_coarse_cache(scorer._kernel, pack)
         if scorer.model.config.use_hcman:
             assert cache.table_vecs is None
             t, nc, ns, dim = pack.codes.shape
@@ -351,7 +371,7 @@ class TestCoarseCache:
 
     def test_scoring_does_not_mutate_the_cache(self, scorer, query_chart):
         pack = scorer.quantized_pack()
-        kernel = scorer._fused_kernel()
+        kernel = scorer._kernel
         cache = build_coarse_cache(kernel, pack)
         snapshots = [
             arr.copy()
@@ -376,7 +396,7 @@ class TestCoarseCache:
         self, scorer, query_chart
     ):
         pack = scorer.quantized_pack()
-        kernel = scorer._fused_kernel()
+        kernel = scorer._kernel
         cache = build_coarse_cache(kernel, pack)
         chart = self._chart_repr(scorer, query_chart)
         everything = coarse_scores(
@@ -429,19 +449,6 @@ class TestPrefilter:
         assert set(kept) <= set(ids)
         assert kept == sorted(kept)
         assert kept == scorer.prefilter_ids(chart_input, ids, 4)
-
-    def test_prefilter_falls_back_without_fused_kernel(
-        self, repository, query_chart, monkeypatch
-    ):
-        scorer = FCMScorer(FCMModel(_tiny_config()))
-        scorer.index_repository(repository)
-        ids = scorer.indexed_table_ids
-        chart_input = scorer.prepare_query(query_chart)
-        kept_fused = scorer.prefilter_ids(chart_input, ids, 4)
-        monkeypatch.setattr(scorer, "_fused_kernel", lambda: None)
-        kept_graphed = scorer.prefilter_ids(chart_input, ids, 4)
-        if active_dtype() == np.float64:
-            assert kept_fused == kept_graphed
 
     def test_serving_flag_marks_result_and_bounds_keep(self, small_records):
         model = FCMModel(_tiny_config())

@@ -849,6 +849,41 @@ class TestPrometheusEndpoint:
         assert status == 400
         assert "format" in body["error"]
 
+    def test_candidate_fallbacks_are_counted_by_reason(
+        self, tiny_fcm_config, small_records, query_cases, monkeypatch
+    ):
+        """Each fallback reason is exported as
+        ``repro_candidates_fallback_total{reason=...}`` and in the JSON body;
+        a cache hit is not counted again."""
+        service = SearchService(
+            FCMModel(tiny_fcm_config),
+            ServingConfig(lsh_config=LSHConfig(num_bits=6, hamming_radius=1)),
+        )
+        service.build([record.table for record in small_records[:8]])
+        found = {0: set(), 1: {service.table_ids[0]}}
+        calls = []
+
+        def candidates(chart, strategy):
+            calls.append(strategy)
+            return set(found[len(calls) - 1])
+
+        monkeypatch.setattr(service.processor, "candidates", candidates)
+        with ChartSearchServer(service, HTTPServingConfig(port=0)) as server:
+            for payload, _ in (query_cases[0], query_cases[1], query_cases[0]):
+                status, body, _ = _post(server, "/query", {"chart": payload, "k": 3})
+                assert status == 200
+                assert len(body["ranking"]) == 3
+            assert len(calls) == 2  # the repeat was a cache hit
+            _, text, _ = _request_text(server, "/metrics?format=prometheus")
+            _, metrics, _ = _get(server, "/metrics")
+        parsed = parse_prometheus_text(text)["repro_candidates_fallback_total"]
+        assert parsed["type"] == "counter"
+        by_reason = {
+            labels["reason"]: value for _, labels, value in parsed["samples"]
+        }
+        assert by_reason == {"empty": 1, "short": 1}
+        assert metrics["service"]["candidate_fallbacks"] == {"empty": 1, "short": 1}
+
     def test_json_metrics_report_fallback_kind(self, server):
         _, body, _ = _get(server, "/metrics")
         service = body["service"]

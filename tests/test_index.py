@@ -178,6 +178,44 @@ class TestHybridProcessor:
         with pytest.raises(ValueError):
             processor.candidates(chart, "bogus")
 
+    @pytest.mark.parametrize(
+        "found, reason", [(0, "empty"), (1, "short"), (2, "short"), (3, "short")]
+    )
+    def test_too_few_candidates_fall_back_to_every_table(
+        self, processor_setup, monkeypatch, found, reason
+    ):
+        """An index answer of 0 to k-1 candidates still yields exactly k
+        results: every table is verified, as an exhaustive scan would."""
+        processor, chart, tables, _ = processor_setup
+        k = 4
+        exhaustive = processor.query(chart, k=k, strategy="none")
+        ids = sorted(table.table_id for table in tables)
+        monkeypatch.setattr(
+            processor, "candidates", lambda chart, strategy: set(ids[:found])
+        )
+        result = processor.query(chart, k=k, strategy="hybrid")
+        assert result.fallback == reason
+        assert len(result.ranking) == k
+        assert result.ranking == exhaustive.ranking
+        assert result.candidates == result.total_tables == len(tables)
+        assert exhaustive.fallback is None
+
+    @pytest.mark.parametrize("k, found", [(4, 4), (10, 6)])
+    def test_candidates_filling_the_ranking_take_no_fallback(
+        self, processor_setup, monkeypatch, k, found
+    ):
+        """``k`` candidates — or every table when ``k`` exceeds the
+        repository — are verified as they are."""
+        processor, chart, tables, _ = processor_setup
+        ids = sorted(table.table_id for table in tables)[:found]
+        monkeypatch.setattr(
+            processor, "candidates", lambda chart, strategy: set(ids)
+        )
+        result = processor.query(chart, k=k, strategy="hybrid")
+        assert result.fallback is None
+        assert result.candidates == found
+        assert sorted(table_id for table_id, _ in result.ranking) == ids
+
 
 class TestLSHBucketRecall:
     """Regression pin: hashing quality on a corpus with known neighbours.

@@ -291,20 +291,6 @@ class TestIncrementalParity:
         with pytest.raises(KeyError):
             service.scorer.encoded_table(victim)
 
-    def test_query_fanout_matches_single_batch(
-        self, serving_model, serving_tables, query_charts
-    ):
-        service = _make_service(serving_model, num_query_shards=3)
-        service.build(serving_tables[:7])
-        flat = _make_service(serving_model)
-        flat.processor = service.processor  # same index, different verify path
-        for chart in query_charts:
-            for strategy in STRATEGIES:
-                _assert_rankings_match(
-                    service.query(chart, k=5, strategy=strategy),
-                    flat.query(chart, k=5, strategy=strategy),
-                )
-
 
 # --------------------------------------------------------------------------- #
 # Result cache + statistics
@@ -558,19 +544,30 @@ class TestQueryWorkerPool:
         finally:
             pooled.close()
 
-    def test_explicit_shard_count_scatters_over_the_pool(
-        self, serving_model, serving_tables, query_charts
+    def test_short_candidate_fallback_verifies_every_table_on_the_pool(
+        self, serving_model, serving_tables, query_charts, monkeypatch
     ):
-        pooled = _pooled_service(serving_model, num_query_shards=3)
+        """A fallback hands the worker verifier every table, and the service
+        counts it once per scored query (a cache hit is not recounted)."""
+        pooled = _pooled_service(serving_model)
         reference = _make_service(FCMModel(serving_model.config))
         try:
             pooled.build(serving_tables[:7])
             reference.build(serving_tables[:7])
+            one = set(pooled.table_ids[:1])
+            monkeypatch.setattr(
+                pooled.processor, "candidates", lambda chart, strategy: set(one)
+            )
             result = pooled.query(query_charts[0], k=5)
             _skip_unless_pool_ran(pooled)
-            _assert_rankings_match(result, reference.query(query_charts[0], k=5))
-            assert pooled.query_pool is not None
-            assert pooled.query_pool.stats.queries == 1
+            assert result.fallback == "short"
+            assert result.candidates == 7
+            _assert_rankings_match(
+                result, reference.query(query_charts[0], k=5, strategy="none")
+            )
+            assert pooled.stats.worker_queries == 1
+            assert pooled.query(query_charts[0], k=5) is result
+            assert pooled.stats.candidate_fallbacks == {"empty": 0, "short": 1}
         finally:
             pooled.close()
 
@@ -1168,8 +1165,6 @@ class TestFailurePathHardening:
             {"worker_timeout": -5.0},
             {"build_timeout": 0.0},
             {"build_timeout": -1.0},
-            {"num_query_shards": 0},
-            {"num_query_shards": -2},
         ],
     )
     def test_nonpositive_guards_rejected_at_construction(self, kwargs):
@@ -1204,7 +1199,7 @@ class TestFailurePathHardening:
             assert scores == {"a": 0.0, "b": 0.0}
             messages = [m for conn in conns for m in conn.sent]
             assert messages == [
-                ("score", None, ["a", "b"], None, {"fused": None})
+                ("score", None, ["a", "b"], None)
             ]
 
             # All-empty scatter: answered locally, nothing sent at all.
@@ -1305,18 +1300,3 @@ class TestFailurePathHardening:
         service.close()
         assert service.worker_fallback_reason is None
         assert service.query(query_charts[0], k=3).ranking
-
-    def test_mutated_zero_shard_config_still_queries(
-        self, serving_model, serving_tables, query_charts
-    ):
-        """Config mutated after construction (bypassing __post_init__) must
-        degrade to the clamped single-shard path, not crash the query."""
-        service = _make_service(serving_model)
-        service.build(serving_tables[:4])
-        service.config.num_query_shards = 0
-        reference = _make_service(FCMModel(serving_model.config))
-        reference.build(serving_tables[:4])
-        _assert_rankings_match(
-            service.query(query_charts[0], k=4),
-            reference.query(query_charts[0], k=4),
-        )
